@@ -36,14 +36,15 @@ RirJobSpec baseSpec(RoomShape shape, BoundaryModel model, int n, int steps) {
   return spec;
 }
 
-void report(RirService& svc, const char* label, RirService::JobId id) {
-  const RirResult r = svc.wait(id);
+RirResult report(RirService& svc, const char* label, RirService::JobId id) {
+  RirResult r = svc.wait(id);
   std::printf("  job %llu %-14s -> %-9s  steps=%-4d  wait=%6.2f ms  "
               "run=%7.2f ms  %6.2f Mcells/s%s%s\n",
               static_cast<unsigned long long>(id), label,
               jobStatusName(r.status), r.stepsDone, r.queueWaitMs, r.runMs,
               r.mcellsPerSecond, r.error.empty() ? "" : "  — ",
               r.error.c_str());
+  return r;
 }
 
 }  // namespace
@@ -77,11 +78,8 @@ int main(int argc, char** argv) {
   report(svc, "fused-fi box", idA);
   report(svc, "fi-split dome", idB);
   report(svc, "fi-mm l-shape", idC);
-  report(svc, "fd-mm cylinder", idD);
-  if (!wavDir.empty()) {
-    const auto r = svc.wait(idD);
-    for (const auto& p : r.wavPaths) std::printf("  wrote %s\n", p.c_str());
-  }
+  const RirResult rD = report(svc, "fd-mm cylinder", idD);
+  for (const auto& p : rD.wavPaths) std::printf("  wrote %s\n", p.c_str());
 
   // 2. Cancellation: a long job is cancelled mid-run; partial trace kept.
   std::printf("\ncancellation (stop a %d-step job after it starts):\n",

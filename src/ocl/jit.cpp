@@ -145,11 +145,18 @@ void* SharedObject::symbol(const std::string& name) const {
   return sym;
 }
 
-Jit::Jit() : impl_(std::make_shared<Impl>()) {
-  char tmpl[] = "/tmp/lifta-jit-XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  if (dir == nullptr) throw OclError("cannot create JIT scratch directory");
-  scratchDir_ = dir;
+Jit::Jit() : ownerPid_(getpid()), impl_(std::make_shared<Impl>()) {
+  std::error_code ec;
+  const fs::path tmp = fs::temp_directory_path(ec);
+  if (ec) {
+    throw OclError("cannot create JIT scratch directory: " + ec.message());
+  }
+  std::string tmpl = (tmp / "lifta-jit-XXXXXX").string();
+  if (mkdtemp(tmpl.data()) == nullptr) {
+    throw OclError("cannot create JIT scratch directory under " +
+                   tmp.string());
+  }
+  scratchDir_ = tmpl;
   if (const char* cap = std::getenv("LIFTA_JIT_MEM_CACHE")) {
     const long n = std::atol(cap);
     if (n >= 1) impl_->capacity = static_cast<std::size_t>(n);
@@ -157,6 +164,15 @@ Jit::Jit() : impl_(std::make_shared<Impl>()) {
   if (const char* disk = std::getenv("LIFTA_JIT_CACHE_DIR")) {
     if (disk[0] != '\0') setDiskCacheDir(disk);
   }
+}
+
+Jit::~Jit() {
+  // Loaded objects stay mapped after their files are unlinked. A forked
+  // child that exits normally runs this destructor too; only the process
+  // that made the directory removes it.
+  if (getpid() != ownerPid_) return;
+  std::error_code ec;
+  fs::remove_all(scratchDir_, ec);
 }
 
 Jit& Jit::instance() {

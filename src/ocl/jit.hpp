@@ -2,8 +2,8 @@
 //
 // The simulated OpenCL runtime's clBuildProgram: kernel source (C/C++ text
 // produced by src/codegen or written by hand for the baselines) is written
-// to a scratch directory, compiled into a shared object with the host
-// compiler, and dlopen'ed.
+// to a per-process scratch directory under TMPDIR, compiled into a shared
+// object with the host compiler, and dlopen'ed.
 //
 // Programs are content-addressed: the cache key is a structural hash of the
 // compiler command, the compile flags and the full source text. Two layers
@@ -93,11 +93,16 @@ public:
   void setDiskCacheDir(const std::string& dir);
   std::string diskCacheDir() const;
 
-  /// Per-process scratch directory compiles run in (for tests).
+  /// Per-process scratch directory compiles run in: a fresh directory
+  /// under std::filesystem::temp_directory_path() (TMPDIR), removed with
+  /// its contents when the process exits.
   const std::string& scratchDir() const { return scratchDir_; }
+
+  ~Jit();
 
 private:
   Jit();
+  int ownerPid_ = 0;
   std::string scratchDir_;
   struct Impl;
   std::shared_ptr<Impl> impl_;

@@ -1,9 +1,10 @@
 #include "service/batch.hpp"
 
-#include <cstdio>
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "common/json_writer.hpp"
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
@@ -30,23 +31,24 @@ void validateBatch(const BatchSpec& spec) {
   LIFTA_CHECK(!spec.outDir.empty(), "batch needs an output directory");
 }
 
-/// Little-endian float32 serialization (matches the WAV writer's manual
-/// little-endian layout, so shards are portable across hosts).
-void putF32(std::vector<std::uint8_t>& out, float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  out.push_back(static_cast<std::uint8_t>(bits & 0xff));
-  out.push_back(static_cast<std::uint8_t>((bits >> 8) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((bits >> 16) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((bits >> 24) & 0xff));
-}
-
-void writeFile(const std::string& path, const std::vector<std::uint8_t>& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw Error("cannot open for writing: " + path);
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (written != bytes.size()) throw Error("short write: " + path);
+/// Appends `trace` as little-endian float32 (the WAV writer's manual
+/// little-endian layout, so shards are portable across hosts): one resize
+/// per trace, then four byte stores per sample.
+void appendF32(std::vector<std::uint8_t>& out,
+               const std::vector<double>& trace) {
+  const std::size_t at = out.size();
+  out.resize(at + 4 * trace.size());
+  std::uint8_t* p = out.data() + at;
+  for (const double s : trace) {
+    const float v = static_cast<float>(s);
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    p[0] = static_cast<std::uint8_t>(bits);
+    p[1] = static_cast<std::uint8_t>(bits >> 8);
+    p[2] = static_cast<std::uint8_t>(bits >> 16);
+    p[3] = static_cast<std::uint8_t>(bits >> 24);
+    p += 4;
+  }
 }
 
 }  // namespace
@@ -136,52 +138,58 @@ BatchResult runRirBatch(RirService& svc, const BatchSpec& spec) {
   ids.reserve(jobs.size());
   for (const auto& job : jobs) ids.push_back(svc.submit(job));
 
-  std::vector<RirResult> results;
-  results.reserve(ids.size());
-  for (const auto id : ids) results.push_back(svc.wait(id));
-  for (const auto& r : results) out.sceneStatus.push_back(r.status);
-
-  // Shard writing happens after every job is terminal, in scene order, so
-  // the byte layout never depends on completion interleaving.
+  // Output streams in scene order: each scene is taken from the service as
+  // soon as its job is terminal and encoded into the open shard (RawF32)
+  // or written out (Wav) while later scenes are still running, and its
+  // traces are freed once written. Waiting in scene order keeps the byte
+  // layout independent of completion interleaving.
   const int receivers = spec.ranges.receiversPerScene;
+  const int rate = static_cast<int>(spec.params.sampleRate);
+  std::vector<std::uint8_t> shard;
   if (spec.format == ShardFormat::RawF32) {
-    std::vector<std::uint8_t> shard;
-    int scenesInShard = 0;
-    int shardIndex = 0;
-    const auto flush = [&] {
-      if (scenesInShard == 0) return;
-      const std::string path =
-          strformat("%s/shard_%05d.f32", spec.outDir.c_str(), shardIndex);
-      writeFile(path, shard);
-      out.shardPaths.push_back(path);
-      shard.clear();
-      scenesInShard = 0;
-      ++shardIndex;
-    };
-    for (const auto& r : results) {
+    shard.reserve(static_cast<std::size_t>(
+                      std::min(spec.shardSize, spec.scenes)) *
+                  static_cast<std::size_t>(receivers) *
+                  static_cast<std::size_t>(spec.steps) * 4);
+  }
+  int scenesInShard = 0;
+  const auto flush = [&] {
+    if (scenesInShard == 0) return;
+    const std::string path = strformat("%s/shard_%05zu.f32",
+                                       spec.outDir.c_str(),
+                                       out.shardPaths.size());
+    writeBytes(path, shard);
+    out.shardPaths.push_back(path);
+    shard.clear();
+    scenesInShard = 0;
+  };
+  std::size_t scene = 0;
+  try {
+    for (; scene < ids.size(); ++scene) {
+      const RirResult r = svc.wait(ids[scene]);
+      out.sceneStatus.push_back(r.status);
       if (r.status != JobStatus::Done) continue;
-      for (const auto& trace : r.traces) {
-        for (const double s : trace) putF32(shard, static_cast<float>(s));
+      if (spec.format == ShardFormat::RawF32) {
+        for (const auto& trace : r.traces) appendF32(shard, trace);
+        if (++scenesInShard == spec.shardSize) flush();
+      } else {
+        for (std::size_t rx = 0; rx < r.traces.size(); ++rx) {
+          const std::string path = strformat("%s/rir%05zu_rx%zu.wav",
+                                             spec.outDir.c_str(), scene, rx);
+          writeWav(path, r.traces[rx], rate);
+          out.shardPaths.push_back(path);
+        }
       }
       out.rirsWritten += static_cast<int>(r.traces.size());
       ++out.scenesWritten;
-      if (++scenesInShard == spec.shardSize) flush();
     }
     flush();
-  } else {
-    const int rate = static_cast<int>(spec.params.sampleRate);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& r = results[i];
-      if (r.status != JobStatus::Done) continue;
-      for (std::size_t rx = 0; rx < r.traces.size(); ++rx) {
-        const std::string path = strformat("%s/rir%05zu_rx%zu.wav",
-                                           spec.outDir.c_str(), i, rx);
-        writeWav(path, r.traces[rx], rate);
-        out.shardPaths.push_back(path);
-        ++out.rirsWritten;
-      }
-      ++out.scenesWritten;
-    }
+  } catch (...) {
+    // A failed write ends the batch: the scenes not yet taken are
+    // cancelled and collected so the service keeps none of them.
+    for (std::size_t i = scene + 1; i < ids.size(); ++i) svc.cancel(ids[i]);
+    for (std::size_t i = scene + 1; i < ids.size(); ++i) svc.wait(ids[i]);
+    throw;
   }
 
   JsonWriter manifest;

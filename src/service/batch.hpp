@@ -97,10 +97,14 @@ std::vector<RirJobSpec> expandBatch(const BatchSpec& spec);
 /// admission meters the actual concurrency below this.
 std::size_t estimateBatchMemoryBytes(const BatchSpec& spec);
 
-/// Expands, submits and waits for the whole batch on `svc`, then writes
-/// the shard set in scene order (deterministic byte layout for a fixed
-/// seed). Blocking. Throws lifta::Error for unwritable outDir or malformed
-/// specs (scenes < 1, steps < 1, shardSize < 1).
+/// Expands and submits the whole batch on `svc`, then takes each scene's
+/// result in scene order and writes it as soon as it is terminal: a RawF32
+/// shard is written when it is full, a WAV file per receiver at once. The
+/// byte layout is deterministic for a fixed seed. Blocking; every job the
+/// call submits has been handed back by the time it returns or throws, so
+/// `svc` keeps none of them. Throws lifta::Error for unwritable outDir
+/// (the scenes not yet written are cancelled) or malformed specs
+/// (scenes < 1, steps < 1, shardSize < 1).
 BatchResult runRirBatch(RirService& svc, const BatchSpec& spec);
 
 }  // namespace lifta::service

@@ -361,12 +361,22 @@ JobStatus RirService::status(JobId id) const {
 }
 
 RirResult RirService::wait(JobId id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto it = jobs_.find(id);
-  LIFTA_CHECK(it != jobs_.end(), "unknown job id");
-  auto job = it->second;
-  cvDone_.wait(lock, [&] { return isTerminal(job->status); });
-  return job->result;
+  std::shared_ptr<Job> job;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    auto it = jobs_.find(id);
+    LIFTA_CHECK(it != jobs_.end(), "unknown job id");
+    job = it->second;
+    cvDone_.wait(lock, [&] { return isTerminal(job->status); });
+    // Of several threads waiting on one id, the first to wake takes the
+    // result; the others find the id gone.
+    it = jobs_.find(id);
+    LIFTA_CHECK(it != jobs_.end(), "unknown job id");
+    jobs_.erase(it);
+  }
+  // A terminal job that left jobs_ is reachable from nowhere else, so the
+  // traces move out without the lock.
+  return std::move(job->result);
 }
 
 void RirService::drain() {

@@ -22,6 +22,12 @@
 // effect at step granularity mid-run; a cancelled job releases its budget
 // immediately and the queue keeps draining. Long jobs can checkpoint every
 // K steps (service/checkpoint.hpp) and later resume from the file.
+//
+// Result lifetime: wait() hands a job's result over exactly once and
+// forgets the job, so a long-running service holds only the results
+// nobody has collected yet. A job that is never waited keeps its result
+// until the service is destroyed. The service counters (metrics()) are
+// kept apart from the jobs and count every job either way.
 #pragma once
 
 #include <array>
@@ -296,15 +302,22 @@ public:
 
   /// Requests cancellation. Queued jobs finalize as Cancelled when they
   /// reach the head; running jobs stop at the next step-granularity check.
-  /// Returns false if the job is unknown or already terminal.
+  /// Returns false if the job is unknown (never submitted, or already
+  /// waited) or already terminal.
   bool cancel(JobId id);
 
+  /// Throws lifta::Error for an unknown or already-waited id.
   JobStatus status(JobId id) const;
 
-  /// Blocks until the job is terminal and returns its result.
+  /// Blocks until the job is terminal, then hands its result over: the
+  /// traces are moved to the caller and the service forgets the id. A
+  /// second wait() on the id — sequential or concurrent, in which case
+  /// exactly one caller gets the result — and status() throw lifta::Error
+  /// ("unknown job id"); cancel() returns false.
   RirResult wait(JobId id);
 
-  /// Blocks until every submitted job is terminal.
+  /// Blocks until every submitted job that has not been waited is
+  /// terminal. Their results stay for a later wait().
   void drain();
 
   ServiceMetrics metrics() const;
@@ -343,7 +356,7 @@ private:
   std::condition_variable cvQueue_;  // executors: work or budget available
   std::condition_variable cvDone_;   // waiters: some job reached terminal
   std::vector<std::shared_ptr<Job>> queue_;  // sorted: best job first
-  std::map<JobId, std::shared_ptr<Job>> jobs_;
+  std::map<JobId, std::shared_ptr<Job>> jobs_;  // submitted, not yet waited
   bool stopping_ = false;
 
   JobId nextId_ = 1;

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -103,6 +104,16 @@ TEST(Wav, ReadRejectsNonWavBytes) {
   out.close();
   EXPECT_THROW(readWav(path), Error);
   std::remove(path.c_str());
+}
+
+// /dev/full accepts the open and a short buffered fwrite, then fails the
+// flush inside fclose with ENOSPC: the file was never written, so the
+// writer must say so.
+TEST(Wav, WriteReportsFailureSurfacingAtClose) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  EXPECT_THROW(writeWav("/dev/full", {0.0, 0.5, -0.5, 1.0}, 8000), Error);
 }
 
 }  // namespace

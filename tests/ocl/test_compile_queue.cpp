@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,8 +15,9 @@
 namespace lifta::ocl {
 namespace {
 
+/// Called from several submitter threads in the stress test.
 std::string uniqueSource(const std::string& tag) {
-  static int counter = 0;
+  static std::atomic<int> counter{0};
   return "// compile-queue-test " + tag + " " + std::to_string(++counter) +
          "\nextern \"C\" int lifta_queue_sym() { return 7; }\n";
 }

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "common/error.hpp"
@@ -172,6 +173,17 @@ TEST(JitCache, FailedCompileThrowsWithLogAndLeavesNoTempFiles) {
     EXPECT_NE(std::string(e.what()).find("build failed"), std::string::npos);
   }
   EXPECT_EQ(entryCount(jit.scratchDir()), before);
+}
+
+TEST(JitCache, ScratchDirLivesUnderTheTempDirectory) {
+  const fs::path scratch = Jit::instance().scratchDir();
+  const fs::path rel =
+      scratch.lexically_relative(fs::temp_directory_path().lexically_normal());
+  // One fresh lifta-jit-* entry directly inside the temp directory.
+  EXPECT_EQ(rel.string().rfind("lifta-jit-", 0), 0u)
+      << scratch << " is not inside " << fs::temp_directory_path();
+  EXPECT_EQ(std::distance(rel.begin(), rel.end()), 1) << rel;
+  EXPECT_TRUE(fs::is_directory(scratch));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "common/wav.hpp"
+#include "ism/ism_engine.hpp"
 
 namespace fs = std::filesystem;
 
@@ -172,6 +174,71 @@ TEST(Batch, DeviceTieredBatchMatchesGenericAndPrewarmsCompiles) {
     EXPECT_EQ(readAll(rg.shardPaths[i]), readAll(rt.shardPaths[i]))
         << "tiered shard " << i << " diverged from generic";
   }
+}
+
+// The RawF32 layout pinned independently of hash stability: the shard set,
+// concatenated, is every scene's receiver traces in scene-major order, each
+// sample the engine's double narrowed to float32 and stored little-endian.
+TEST(Batch, RawShardsHoldLittleEndianFloat32EngineTraces) {
+  const std::string dir = freshDir("encoding");
+  const auto spec = smallIsmBatch(dir);
+  RirService::Config cfg;
+  cfg.workers = 3;
+  RirService svc(cfg);
+  const BatchResult res = runRirBatch(svc, spec);
+  ASSERT_EQ(res.scenesWritten, spec.scenes);
+
+  std::vector<unsigned char> written;
+  for (const auto& path : res.shardPaths) {
+    const auto bytes = readAll(path);
+    written.insert(written.end(), bytes.begin(), bytes.end());
+  }
+
+  std::vector<unsigned char> expected;
+  for (const auto& job : expandBatch(spec)) {
+    ism::IsmConfig ic;
+    ic.room = job.ism.room;
+    ic.source = job.ism.source;
+    ic.receivers = job.ism.receivers;
+    ic.maxOrder = job.ism.maxOrder;
+    ic.wallR = ism::reflectionsFromAdmittances(job.ism.wallBeta);
+    ic.c = job.params.c;
+    ic.sampleRate = job.params.sampleRate;
+    ic.numSamples = job.steps;
+    ic.sincHalfWidth = job.ism.sincHalfWidth;
+    const ism::IsmEngine engine(ic);
+    for (std::size_t rx = 0; rx < ic.receivers.size(); ++rx) {
+      for (const double sample : engine.renderReceiver(rx)) {
+        const float f = static_cast<float>(sample);
+        std::uint32_t bits = 0;
+        std::memcpy(&bits, &f, sizeof bits);
+        for (int b = 0; b < 4; ++b) {
+          expected.push_back(static_cast<unsigned char>(bits >> (8 * b)));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(written.size(), expected.size());
+  EXPECT_TRUE(written == expected) << "shard bytes differ from the engine's "
+                                      "little-endian float32 traces";
+}
+
+// A shard that cannot be written fails the call, and the scenes not yet
+// written are cancelled and collected rather than left in the service.
+TEST(Batch, UnwritableOutDirThrowsAndLeavesNothingRunning) {
+  auto spec = smallIsmBatch(::testing::TempDir() + "/lifta_batch_missing/x");
+  spec.scenes = 40;
+  spec.shardSize = 1;
+  RirService::Config cfg;
+  cfg.workers = 2;
+  RirService svc(cfg);
+  EXPECT_THROW(runRirBatch(svc, spec), Error);
+  svc.drain();
+  const ServiceMetrics m = svc.metrics();
+  EXPECT_EQ(m.submitted, 40u);
+  EXPECT_EQ(m.submitted,
+            m.completed + m.cancelled + m.timedOut + m.rejected + m.failed);
+  EXPECT_EQ(m.memoryInUseBytes, 0u);
 }
 
 TEST(Batch, ManifestDescribesTheDataset) {

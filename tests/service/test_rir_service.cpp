@@ -680,4 +680,113 @@ TEST(RirService, EstimateCoversIsmAndHybridJobs) {
   EXPECT_GT(hybridBytes, ismBytes);
 }
 
+// ---- Result hand-over -------------------------------------------------
+
+void expectCountersAddUp(const RirService& svc) {
+  const ServiceMetrics m = svc.metrics();
+  EXPECT_EQ(m.submitted,
+            m.completed + m.cancelled + m.timedOut + m.rejected + m.failed);
+}
+
+TEST(RirService, WaitHandsTheResultOverOnce) {
+  RirService svc;
+  const auto id = svc.submit(ismSpec());
+  const RirResult r = svc.wait(id);
+  ASSERT_EQ(r.status, JobStatus::Done) << r.error;
+  EXPECT_EQ(r.traces.size(), 2u);
+
+  EXPECT_THROW(svc.wait(id), Error);
+  EXPECT_THROW(svc.status(id), Error);
+  EXPECT_FALSE(svc.cancel(id));
+
+  const ServiceMetrics m = svc.metrics();
+  EXPECT_EQ(m.submitted, 1u);
+  EXPECT_EQ(m.completed, 1u);
+  expectCountersAddUp(svc);
+}
+
+TEST(RirService, ConcurrentWaitersExactlyOneGetsTheResult) {
+  RirService::Config cfg;
+  cfg.workers = 1;
+  RirService svc(cfg);
+  // A queued job behind a running one, so both waiters block before it
+  // finishes.
+  const auto blocker = svc.submit(smallSpec(BoundaryModel::FiMm, 200));
+  const auto spec = smallSpec(BoundaryModel::FiMm, 60);
+  const auto id = svc.submit(spec);
+
+  RirResult got[2];
+  bool threw[2] = {false, false};
+  std::vector<std::thread> waiters;
+  for (int t = 0; t < 2; ++t) {
+    waiters.emplace_back([&, t] {
+      try {
+        got[t] = svc.wait(id);
+      } catch (const Error&) {
+        threw[t] = true;
+      }
+    });
+  }
+  for (auto& w : waiters) w.join();
+
+  EXPECT_NE(threw[0], threw[1]) << "exactly one waiter must throw";
+  const RirResult& r = threw[0] ? got[1] : got[0];
+  ASSERT_EQ(r.status, JobStatus::Done) << r.error;
+  ASSERT_EQ(r.traces.size(), spec.receivers.size());
+  for (const auto& trace : r.traces) {
+    EXPECT_EQ(trace.size(), static_cast<std::size_t>(spec.steps));
+  }
+  EXPECT_EQ(svc.wait(blocker).status, JobStatus::Done);
+  expectCountersAddUp(svc);
+}
+
+TEST(RirService, DrainKeepsResultsForALaterWait) {
+  RirService::Config cfg;
+  cfg.workers = 2;
+  RirService svc(cfg);
+  std::vector<RirService::JobId> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(svc.submit(ismSpec(200)));
+  svc.drain();
+  for (const auto id : ids) {
+    EXPECT_EQ(svc.status(id), JobStatus::Done);
+    const RirResult r = svc.wait(id);
+    ASSERT_EQ(r.status, JobStatus::Done) << r.error;
+    ASSERT_EQ(r.traces.size(), 2u);
+    EXPECT_EQ(r.traces[0].size(), 200u);
+  }
+  svc.drain();  // nothing left to wait for
+  EXPECT_EQ(svc.metrics().completed, ids.size());
+  expectCountersAddUp(svc);
+}
+
+TEST(RirService, HandOverLeavesCountersOfEveryOutcome) {
+  RirService::Config cfg;
+  cfg.workers = 1;
+  RirService svc(cfg);
+  const auto running = svc.submit(smallSpec(BoundaryModel::FiMm, 2'000'000));
+  const auto queued = svc.submit(smallSpec());
+  auto bad = smallSpec();
+  bad.steps = 0;
+  const auto rejected = svc.submit(bad);
+  waitUntilRunning(svc, running);
+  EXPECT_TRUE(svc.cancel(queued));
+  EXPECT_TRUE(svc.cancel(running));
+
+  EXPECT_EQ(svc.wait(queued).status, JobStatus::Cancelled);
+  EXPECT_EQ(svc.wait(running).status, JobStatus::Cancelled);
+  EXPECT_EQ(svc.wait(rejected).status, JobStatus::Rejected);
+  EXPECT_EQ(svc.wait(svc.submit(smallSpec())).status, JobStatus::Done);
+  for (const auto id : {running, queued, rejected}) {
+    EXPECT_THROW(svc.wait(id), Error);
+    EXPECT_FALSE(svc.cancel(id));
+  }
+
+  const ServiceMetrics m = svc.metrics();
+  EXPECT_EQ(m.submitted, 4u);
+  EXPECT_EQ(m.completed, 1u);
+  EXPECT_EQ(m.cancelled, 2u);
+  EXPECT_EQ(m.rejected, 1u);
+  expectCountersAddUp(svc);
+}
+
 }  // namespace
