@@ -1,29 +1,22 @@
 // Micro-benchmarks of the compiler infrastructure itself: symbolic index
 // algebra, view resolution, kernel code generation, JIT compilation cold
-// vs. warm cache, the optimizer pipeline's effect on generated-kernel
-// throughput, and the tiered-execution payoff (constant-specialized step
-// time and tier-0 first-step latency, DESIGN.md §12). These quantify the
-// "compile-time" costs of the paper's approach (paid once per kernel, not
-// per launch) and the run-time payoff of the optimizer. Results are
-// written to BENCH_codegen.json and BENCH_specialize.json (the latter
-// carries the explicit "gates" list CI's perf-smoke job enforces).
+// vs. warm cache, and the optimizer pipeline's effect on generated-kernel
+// throughput. These quantify the "compile-time" costs of the paper's
+// approach (paid once per kernel, not per launch) and the run-time payoff
+// of the optimizer. Results are written to BENCH_codegen.json.
 #include <chrono>
 #include <cstdio>
 #include <ctime>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "arith/expr.hpp"
 #include "codegen/kernel_codegen.hpp"
 #include "common/json_writer.hpp"
 #include "common/stats.hpp"
-#include "common/string_util.hpp"
 #include "harness/acoustic_bench.hpp"
 #include "harness/bench_common.hpp"
-#include "lift_acoustics/device_simulation.hpp"
 #include "lift_acoustics/kernels.hpp"
-#include "ocl/compile_queue.hpp"
 #include "ocl/jit.hpp"
 #include "ocl/runtime.hpp"
 #include "view/view.hpp"
@@ -72,26 +65,6 @@ struct KernelRow {
   std::size_t updates = 0;
   double optMs = 0.0;
   double nooptMs = 0.0;
-};
-
-/// An explicit perf gate: CI fails on `met == false` unless `skipped`
-/// explains why the measurement is not meaningful on this machine.
-struct Gate {
-  std::string name;
-  double value = 0.0;
-  double target = 0.0;
-  bool met = false;
-  bool skipped = false;
-  std::string reason;
-};
-
-struct SpecRow {
-  std::string model;
-  double genericStepMs = 0.0;
-  double specializedStepMs = 0.0;
-  double speedup() const {
-    return specializedStepMs > 0 ? genericStepMs / specializedStepMs : 0.0;
-  }
 };
 
 template <typename MakeBound>
@@ -251,147 +224,5 @@ int main(int argc, char** argv) {
   w.endObject();
   w.writeFile("BENCH_codegen.json");
   std::printf("\nwrote BENCH_codegen.json\n");
-
-  // --- tiered execution: specialized vs generic step time ----------------
-  // Per model, the steady-state payoff of baking grid constants into the
-  // kernels (KernelTier::Specialized) against the generic baseline, on a
-  // mid-size box so step time is kernel-dominated.
-  namespace la = lift_acoustics;
-  const acoustics::Room specRoom{acoustics::RoomShape::Box, 48, 44, 40};
-  const int stepIters = std::max(opt.iters, 9);
-  struct SpecModel {
-    la::DeviceModel model;
-    ir::ScalarKind precision;
-    const char* name;
-  };
-  const SpecModel specModels[] = {
-      {la::DeviceModel::FiMm, ir::ScalarKind::Double, "fi-mm/double"},
-      {la::DeviceModel::FiMm, ir::ScalarKind::Float, "fi-mm/float"},
-      {la::DeviceModel::FdMm, ir::ScalarKind::Double, "fd-mm/double"},
-      {la::DeviceModel::FdMm, ir::ScalarKind::Float, "fd-mm/float"},
-  };
-  std::vector<SpecRow> specRows;
-  for (const auto& m : specModels) {
-    la::DeviceSimulation::Config cfg;
-    cfg.room = specRoom;
-    cfg.model = m.model;
-    cfg.precision = m.precision;
-    cfg.numMaterials = 3;
-    SpecRow row{m.name, 0.0, 0.0};
-    for (const bool specialized : {false, true}) {
-      cfg.kernelTier = specialized ? la::KernelTier::Specialized
-                                   : la::KernelTier::Generic;
-      la::DeviceSimulation sim(ctx, cfg);
-      sim.addImpulse(10, 10, 10, 1.0);
-      sim.step();  // upload + first launch outside the timed region
-      sim.step();
-      const double ms = medianMsOf(stepIters, [&] { sim.step(); });
-      (specialized ? row.specializedStepMs : row.genericStepMs) = ms;
-    }
-    specRows.push_back(row);
-  }
-  std::printf("\n%-14s %14s %14s %8s\n", "model", "generic ms", "special ms",
-              "speedup");
-  double bestSpeedup = 0.0;
-  for (const auto& r : specRows) {
-    std::printf("%-14s %14.4f %14.4f %7.2fx\n", r.model.c_str(),
-                r.genericStepMs, r.specializedStepMs, r.speedup());
-    bestSpeedup = std::max(bestSpeedup, r.speedup());
-  }
-
-  // --- tiered execution: effective first-step latency --------------------
-  // Fresh grid dimensions per measurement so every specialized source is
-  // cold. Generic kernel source is shape-independent and warm by now —
-  // exactly the service steady state, where only the per-room specialized
-  // build is new work. Tier-0 must reach its first step without paying it.
-  la::DeviceSimulation::Config lat;
-  lat.model = la::DeviceModel::FiMm;
-  lat.precision = ir::ScalarKind::Double;
-  lat.numMaterials = 3;
-  lat.room = acoustics::Room{acoustics::RoomShape::Box, 49, 45, 41};
-  lat.kernelTier = la::KernelTier::Specialized;
-  const double coldSpecFirstStepMs = timeMs([&] {
-    la::DeviceSimulation sim(ctx, lat);
-    sim.step();
-  });
-  lat.room = acoustics::Room{acoustics::RoomShape::Box, 50, 46, 42};
-  lat.kernelTier = la::KernelTier::Tiered;
-  const double tier0FirstStepMs = timeMs([&] {
-    la::DeviceSimulation sim(ctx, lat);
-    sim.step();
-  });
-  ocl::CompileQueue::instance().drain();  // don't leak builds past the bench
-  const double firstStepSpeedup =
-      tier0FirstStepMs > 0 ? coldSpecFirstStepMs / tier0FirstStepMs : 0.0;
-  std::printf(
-      "first step: cold specialized %.1f ms, tier-0 (tiered) %.1f ms "
-      "(%.1fx)\n",
-      coldSpecFirstStepMs, tier0FirstStepMs, firstStepSpeedup);
-
-  // --- BENCH_specialize.json ----------------------------------------------
-  // Timing-ratio gates are too noisy to enforce on small loaded runners
-  // (same skip policy as BENCH_refstep.json).
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::string scaleSkip =
-      hw >= 4 ? ""
-              : strformat("hardware_concurrency=%u < 4 at measurement time",
-                          hw);
-  std::vector<Gate> gates;
-  gates.push_back({"specialized_step_speedup_best", bestSpeedup, 1.15,
-                   bestSpeedup >= 1.15, !scaleSkip.empty(), scaleSkip});
-  gates.push_back({"tiered_first_step_speedup", firstStepSpeedup, 5.0,
-                   firstStepSpeedup >= 5.0, !scaleSkip.empty(), scaleSkip});
-  std::printf("perf gates:\n");
-  for (const auto& g : gates) {
-    if (g.skipped) {
-      std::printf("  [skip] %-30s %.2f (target %.2f) — %s\n", g.name.c_str(),
-                  g.value, g.target, g.reason.c_str());
-    } else {
-      std::printf("  [%s] %-30s %.2f (target %.2f)\n",
-                  g.met ? "pass" : "FAIL", g.name.c_str(), g.value, g.target);
-    }
-  }
-
-  JsonWriter sw;
-  sw.beginObject();
-  sw.field("bench", "micro_compiler/specialize");
-  sw.field("iters", stepIters);
-  sw.key("room")
-      .beginObject()
-      .field("shape", "box")
-      .field("nx", specRoom.nx)
-      .field("ny", specRoom.ny)
-      .field("nz", specRoom.nz)
-      .endObject();
-  sw.key("models").beginArray();
-  for (const auto& r : specRows) {
-    sw.beginObject()
-        .field("model", r.model)
-        .field("generic_step_ms", r.genericStepMs, 4)
-        .field("specialized_step_ms", r.specializedStepMs, 4)
-        .field("speedup", r.speedup(), 3)
-        .endObject();
-  }
-  sw.endArray();
-  sw.key("first_step").beginObject();
-  sw.field("cold_specialized_ms", coldSpecFirstStepMs, 2);
-  sw.field("tier0_tiered_ms", tier0FirstStepMs, 2);
-  sw.field("speedup", firstStepSpeedup, 2);
-  sw.endObject();
-  sw.key("gates").beginArray();
-  for (const auto& g : gates) {
-    sw.beginObject()
-        .field("name", g.name)
-        .field("value", g.value, 4)
-        .field("target", g.target, 2)
-        .field("met", g.met)
-        .field("skipped", g.skipped)
-        .field("reason", g.reason)
-        .endObject();
-  }
-  sw.endArray();
-  sw.endObject();
-  sw.writeFile("BENCH_specialize.json");
-  std::printf("wrote BENCH_specialize.json\n");
   return 0;
 }

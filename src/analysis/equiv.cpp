@@ -87,9 +87,8 @@ const char* binOpTag(ir::BinOp b) {
 /// structured resolution the optimizing emitter prints from.
 class Summarizer {
  public:
-  Summarizer(const memory::KernelDef& def, bool optimized,
-             const memory::Specialization& spec = {})
-      : def_(def), optimized_(optimized), spec_(spec) {}
+  Summarizer(const memory::KernelDef& def, bool optimized)
+      : def_(def), optimized_(optimized) {}
 
   KernelSummary run() {
     ir::typecheck(def_.body);
@@ -108,20 +107,10 @@ class Summarizer {
           }
         }
       } else if (isIntScalar(p->type)) {
-        // Specialized int scalars bind to their constant, exactly as the
-        // emitter's scalarParamCode folds them into index algebra.
-        auto si = spec_.ints.find(p->name);
-        const Expr iv = si != spec_.ints.end() ? Expr(si->second)
-                                               : Expr::var(p->name);
+        const Expr iv = Expr::var(p->name);
         env_[p.get()] = Binding{nullptr, EV{makeIndex(iv), iv}};
       } else {
-        auto sr = spec_.reals.find(p->name);
-        const std::string code =
-            sr != spec_.reals.end()
-                ? "(" + memory::Specialization::realLiteral(sr->second,
-                                                            def_.real) + ")"
-                : p->name;
-        env_[p.get()] = Binding{nullptr, EV{makeLit(code), {}}};
+        env_[p.get()] = Binding{nullptr, EV{makeLit(p->name), {}}};
       }
     }
 
@@ -212,11 +201,9 @@ class Summarizer {
     out.reserve(in.size());
     for (const auto& g : in) {
       ValGuard vg;
-      // Specialization substitutes before simplification, mirroring the
-      // emitter's accessCode; both walks see the same substituted guard.
-      const Expr adjusted = spec_.subst(g.adjusted);
-      vg.adjusted = optimized_ ? simplifyIndex(adjusted, prover_) : adjusted;
-      vg.size = spec_.subst(g.size);
+      vg.adjusted =
+          optimized_ ? simplifyIndex(g.adjusted, prover_) : g.adjusted;
+      vg.size = g.size;
       if (optimized_) {
         const GuardSides sides =
             proveGuardSides(vg.adjusted, vg.size, prover_);
@@ -235,7 +222,7 @@ class Summarizer {
     EV ev;
     switch (a.kind) {
       case view::ResolvedAccess::Kind::Iota: {
-        const Expr raw = spec_.subst(a.index);
+        const Expr raw = a.index;
         const Expr ix = optimized_ ? simplifyIndex(raw, prover_) : raw;
         ev = EV{makeIndex(ix), ix};
         break;
@@ -246,7 +233,7 @@ class Summarizer {
         break;
       }
       case view::ResolvedAccess::Kind::Mem: {
-        const Expr raw = spec_.subst(a.index);
+        const Expr raw = a.index;
         const Expr addr = optimized_ ? simplifyIndex(raw, prover_) : raw;
         ev.val = makeLoad(a.mem, addr);
         if (v->type && isIntScalar(v->type)) ev.ival = atomFor(a.mem, raw);
@@ -266,7 +253,7 @@ class Summarizer {
     }
     StoreSummary s;
     s.buffer = a.mem;
-    const Expr raw = spec_.subst(a.index);
+    const Expr raw = a.index;
     s.address = optimized_ ? simplifyIndex(raw, prover_) : raw;
     s.value = value.val ? value.val : makeLit("?");
     s.context = "store " + a.mem + "[" + a.index.toString() + "]";
@@ -384,7 +371,7 @@ class Summarizer {
     EV init = evalVal(n.args[0]);
     const ExprPtr& input = n.args[1];
     const std::string iv = fresh("r");
-    registerLoop(iv, spec_.subst(input->type->size()));
+    registerLoop(iv, input->type->size());
     bindElement(n.lambda->params[1], input, Expr::var(iv));
     env_[n.lambda->params[0].get()] = Binding{nullptr, EV{makeLit(acc), {}}};
     EV body = evalVal(n.lambda->body);
@@ -591,16 +578,13 @@ class Summarizer {
       case Op::ArrayCons: {
         if (!dest) throw CodegenError("ArrayCons requires a destination");
         // Emitter order: the element is evaluated once, before the loop.
-        // The straight-line check keys on the *raw* extent (the emitter
-        // checks n.size1 before substituting), then the loop length is
-        // specialized — same structural decision in both.
         EV elem = evalVal(n.args[0]);
         if (n.size1.isConst(1)) {
           recordStore(view::accessView(dest, Expr(0)), elem);
           return;
         }
         const std::string iv = fresh("i");
-        registerLoop(iv, spec_.subst(n.size1));
+        registerLoop(iv, n.size1);
         recordStore(view::accessView(dest, Expr::var(iv)), elem);
         return;
       }
@@ -645,11 +629,7 @@ class Summarizer {
   void collectMap(const ExprPtr& e, ViewPtr dest) {
     const Node& n = *e;
     const ExprPtr& input = n.args[0];
-    // Substituted before the straight-line check below — the emitter
-    // substitutes the map extent at the same point, so both validation
-    // walks make the same structural choice for spec'd single-iteration
-    // maps.
-    const Expr len = spec_.subst(input->type->size());
+    const Expr len = input->type->size();
     const ExprPtr& bodyExpr = n.lambda->body;
 
     const bool collapsed =
@@ -708,7 +688,6 @@ class Summarizer {
 
   const memory::KernelDef& def_;
   const bool optimized_;
-  const memory::Specialization spec_;
   KernelSummary summary_;
   Prover prover_;
   std::map<const Node*, Binding> env_;
@@ -944,12 +923,6 @@ KernelSummary summarizeKernel(const memory::KernelDef& def, bool optimized) {
   return s.run();
 }
 
-KernelSummary summarizeKernel(const memory::KernelDef& def, bool optimized,
-                              const memory::Specialization& spec) {
-  Summarizer s(def, optimized, spec);
-  return s.run();
-}
-
 Report compareSummaries(const KernelSummary& ref, const KernelSummary& opt) {
   Report report;
   report.subject = ref.kernelName;
@@ -1007,24 +980,14 @@ Report compareSummaries(const KernelSummary& ref, const KernelSummary& opt) {
 }
 
 Report validateTranslation(const memory::KernelDef& def) {
-  return validateTranslation(def, memory::Specialization{});
-}
-
-Report validateTranslation(const memory::KernelDef& def,
-                           const memory::Specialization& spec) {
-  const KernelSummary ref = summarizeKernel(def, /*optimized=*/false, spec);
-  const KernelSummary opt = summarizeKernel(def, /*optimized=*/true, spec);
+  const KernelSummary ref = summarizeKernel(def, /*optimized=*/false);
+  const KernelSummary opt = summarizeKernel(def, /*optimized=*/true);
   return compareSummaries(ref, opt);
 }
 
 void verifyTranslation(const memory::KernelDef& def) {
-  verifyTranslation(def, memory::Specialization{});
-}
-
-void verifyTranslation(const memory::KernelDef& def,
-                       const memory::Specialization& spec) {
   if (!verifyEnabled()) return;
-  const Report report = validateTranslation(def, spec);
+  const Report report = validateTranslation(def);
   if (!report.hasErrors()) return;
   std::string msg =
       "kernel '" + def.name + "' failed translation validation:\n";

@@ -31,7 +31,6 @@
 #include "analysis/interval.hpp"
 #include "arith/expr.hpp"
 #include "memory/kernel_def.hpp"
-#include "memory/specialization.hpp"
 
 namespace lifta::analysis {
 
@@ -95,16 +94,6 @@ struct KernelSummary {
 /// store. Throws CodegenError on IR the emitter would also reject.
 KernelSummary summarizeKernel(const memory::KernelDef& def, bool optimized);
 
-/// As above under a constant specialization: every specialized scalar
-/// parameter is replaced by its concrete value in both index algebra and
-/// value trees, at the same structural points the specializing emitter
-/// substitutes. Substituting a parameter by the value the host binds is a
-/// renaming of the environment, so validating spec'd-reference against
-/// spec'd-optimized extends the translation-validation gate over the
-/// specialization pass itself (DESIGN.md §12).
-KernelSummary summarizeKernel(const memory::KernelDef& def, bool optimized,
-                              const memory::Specialization& spec);
-
 /// Compares two summaries of the same kernel; every divergence that is not
 /// provably semantics-preserving becomes an error-severity PassId::Equiv
 /// diagnostic citing the pre-optimization store (`origin`) and the
@@ -115,19 +104,10 @@ Report compareSummaries(const KernelSummary& ref, const KernelSummary& opt);
 /// summarize(unoptimized) vs summarize(optimized), compared.
 Report validateTranslation(const memory::KernelDef& def);
 
-/// Specialized form: both walks run under `spec`, so the comparison covers
-/// constant specialization in addition to simplify/guard elimination.
-Report validateTranslation(const memory::KernelDef& def,
-                           const memory::Specialization& spec);
-
 /// Codegen-gate form: throws lifta::AnalysisError when validation finds any
 /// error-severity diagnostic. No-op when verification is disabled
 /// (LIFTA_SKIP_VERIFY / setVerifyEnabled(false)).
 void verifyTranslation(const memory::KernelDef& def);
-
-/// Gate form of the specialized validation.
-void verifyTranslation(const memory::KernelDef& def,
-                       const memory::Specialization& spec);
 
 /// True when `a == b` for every assignment consistent with `p`. Structural
 /// equality first; otherwise the difference is normalized (Mod eliminated

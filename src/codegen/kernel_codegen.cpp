@@ -143,37 +143,13 @@ class Emitter {
       if (p->type->isArray()) {
         env_[p.get()] = Binding{view::memView(p->name, p->type), ""};
       } else {
-        env_[p.get()] = Binding{nullptr, scalarParamCode(p)};
+        env_[p.get()] = Binding{nullptr, p->name};
       }
       declared_.insert(p->name);
       varLevel_[p->name] = 0;
     }
     (void)plan;
   }
-
-  /// A scalar parameter's C expression: normally the local unpacked from
-  /// the args array; under specialization, the baked literal. Int constants
-  /// stay bare decimal so indexExpr folds them into the index algebra; real
-  /// constants are parenthesized so negative literals splice safely.
-  std::string scalarParamCode(const ExprPtr& p) const {
-    if (auto it = opts_.spec.ints.find(p->name); it != opts_.spec.ints.end()) {
-      const ir::TypePtr scalar = p->type->isTuple() ? nullptr
-                                                    : p->type->scalarElem();
-      if (scalar && scalar->scalarKind() == ir::ScalarKind::Int) {
-        return std::to_string(it->second);
-      }
-    }
-    if (auto it = opts_.spec.reals.find(p->name);
-        it != opts_.spec.reals.end()) {
-      return "(" +
-             memory::Specialization::realLiteral(it->second, def_.real) + ")";
-    }
-    return p->name;
-  }
-
-  /// Applies the specialization's int constants to an index expression
-  /// (loop bounds, flat addresses, pad guards). A no-op when unspecialized.
-  arith::Expr subst(const arith::Expr& e) const { return opts_.spec.subst(e); }
 
   // --- prover -------------------------------------------------------------
 
@@ -322,13 +298,6 @@ class Emitter {
   /// sides that are provably true, and print through the CSE/hoisting
   /// index printer. Guard nesting order matches the unoptimized printer.
   std::string accessCode(view::ResolvedAccess a, bool forStore) {
-    // Specialization substitutes before simplification so the prover and
-    // the simplifier see concrete extents and strides.
-    a.index = subst(a.index);
-    for (auto& g : a.guards) {
-      g.adjusted = subst(g.adjusted);
-      g.size = subst(g.size);
-    }
     if (opts_.simplify) {
       a.index = analysis::simplifyIndex(a.index, prover_);
       for (auto& g : a.guards) {
@@ -580,7 +549,7 @@ class Emitter {
 
     const ExprPtr& input = n.args[1];
     const std::string iv = fresh("r");
-    const arith::Expr len = subst(input->type->size());
+    const arith::Expr len = input->type->size();
     open("for (long " + iv + " = 0; " + iv + " < " + len.toString() + "; ++" +
          iv + ")");
     enterLoopDomain(iv, len);
@@ -751,7 +720,7 @@ class Emitter {
           stmt(storeCode(slot) + " = " + code + ";");
           return;
         }
-        const arith::Expr consLen = subst(n.size1);
+        const arith::Expr consLen = n.size1;
         const std::string iv = fresh("i");
         open("for (long " + iv + " = 0; " + iv + " < " + consLen.toString() +
              "; ++" + iv + ")");
@@ -807,10 +776,7 @@ class Emitter {
   void emitMap(const ExprPtr& e, ViewPtr dest) {
     const Node& n = *e;
     const ExprPtr& input = n.args[0];
-    // Substituted before the straight-line check below; the summarizer
-    // substitutes at the same point, so both validation walks make the
-    // same structural choice.
-    const arith::Expr len = subst(input->type->size());
+    const arith::Expr len = input->type->size();
     const ExprPtr& bodyExpr = n.lambda->body;
 
     // Collapsed in-place mode (paper §IV-B2): the lambda produces, via
@@ -932,11 +898,6 @@ class Emitter {
   std::string assemble(const GeneratedKernel& k) {
     std::ostringstream src;
     src << "// generated by lift-acoustics from LIFT IR — do not edit\n";
-    if (!opts_.spec.empty()) {
-      // The digest makes the specialization part of the JIT content hash
-      // even when substitution happens to leave the body text unchanged.
-      src << "// specialized: " << opts_.spec.digest() << "\n";
-    }
     src << kernelPreamble(def_.real);
     for (const auto& [name, fn] : usedFuns_) {
       src << "static inline "
@@ -1016,10 +977,6 @@ GeneratedKernel generateKernel(const memory::KernelDef& def,
                                const CodegenOptions& opts) {
   Emitter emitter(def, opts);
   GeneratedKernel out = emitter.run();
-  if (!opts.spec.empty()) {
-    out.specDigest = opts.spec.digest();
-    out.buildFlags = "-O3";  // the optimizing tier; see GeneratedKernel doc
-  }
   // Static verification runs after emission so malformed IR keeps reporting
   // CodegenError; only well-formed kernels reach the bounds/race provers.
   analysis::verifyKernel(def);
@@ -1027,11 +984,9 @@ GeneratedKernel generateKernel(const memory::KernelDef& def,
   // and guard elimination on a store-summary level and prove the optimized
   // emission equivalent to the unoptimized one. Only the simplify pass
   // changes what the program computes (CSE/chunk/restrict are naming,
-  // schedule and ABI decisions), so the gate keys on it. Specialized
-  // kernels validate under the same substitution on both walks — the gate
-  // then covers the specialization pass too (DESIGN.md §12).
+  // schedule and ABI decisions), so the gate keys on it.
   if (opts.optimize && opts.simplify) {
-    analysis::verifyTranslation(def, opts.spec);
+    analysis::verifyTranslation(def);
   }
   return out;
 }

@@ -25,7 +25,6 @@
 
 #include "memory/allocator.hpp"
 #include "memory/kernel_def.hpp"
-#include "memory/specialization.hpp"
 #include "view/view.hpp"
 
 namespace lifta::codegen {
@@ -48,14 +47,6 @@ struct CodegenOptions {
   int chunk = 64;               // minimum items per work-item under
                                 // chunkSchedule
 
-  /// Scalar parameters to bake as compile-time constants. Loop bounds,
-  /// index algebra and pad guards re-simplify against the concrete values
-  /// (divisions by runtime strides become divisions by literals), while
-  /// data arithmetic is untouched — specialized kernels stay bit-identical
-  /// to generic ones run with the same bound scalars. The kernel ABI is
-  /// unchanged: specialized scalar slots are still unpacked, just unused.
-  memory::Specialization spec;
-
   static CodegenOptions fromEnv();
 };
 
@@ -68,16 +59,9 @@ struct GeneratedKernel {
   int preferredChunk = 0;    // >0: kernel self-schedules contiguous chunks
                              // of at least this many dim-0 items; hosts may
                              // shrink the launch to ~ceil(n/chunk) items
-  /// Non-empty for constant-specialized kernels: the Specialization digest
-  /// baked into the source header (and thereby the JIT cache key).
-  std::string specDigest;
-  /// Extra compiler flags the kernel should be built with (JIT appends them
-  /// after its base flags, so a later -O level wins). Specialized kernels
-  /// are the throughput tier and get the expensive -O3 pipeline — the
-  /// literal trip counts and strides are what let its vectorizer and
-  /// unroller actually fire — while generic tier-0 kernels keep the fast
-  /// -O2 build for first-step latency. Never includes fast-math: per-lane
-  /// IEEE semantics are what keep specialized output bit-identical.
+  /// Extra compiler flags for the JIT, appended after its base flags.
+  /// Always empty: every generated kernel builds with the base flags. Kept
+  /// as part of the kernel/JIT interface that callers pass through.
   std::string buildFlags;
 };
 

@@ -32,6 +32,14 @@ std::string join(const std::vector<std::string>& parts,
   return out;
 }
 
+std::string enclose(const char* open, const std::string& inner,
+                    const char* close) {
+  std::string out = open;
+  out += inner;
+  out += close;
+  return out;
+}
+
 std::string indent(const std::string& text, int spaces) {
   const std::string pad(static_cast<std::size_t>(spaces), ' ');
   std::string out;

@@ -15,6 +15,11 @@ std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 /// Joins `parts` with `sep` between elements.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 
+/// `open + inner + close`, built by appending. Prefer it to
+/// `"(" + std::string&&`, on which GCC 12's -Wrestrict misfires.
+std::string enclose(const char* open, const std::string& inner,
+                    const char* close);
+
 /// Indents every line of `text` by `spaces` spaces (used for nested C blocks).
 std::string indent(const std::string& text, int spaces);
 

@@ -182,22 +182,12 @@ std::shared_ptr<CompiledHostProgram> HostProgram::compile(ocl::Context& ctx,
   // one observes, uploads a kernel fully overwrites).
   analysis::verifyHostProgram(*this);
   analysis::verifyHostDataflow(*this);
-  return std::shared_ptr<CompiledHostProgram>(new CompiledHostProgram(
-      *this, ctx, real, codegen::CodegenOptions::fromEnv()));
-}
-
-std::shared_ptr<CompiledHostProgram> HostProgram::compile(
-    ocl::Context& ctx, ir::ScalarKind real,
-    const codegen::CodegenOptions& opts) {
-  analysis::verifyHostProgram(*this);
-  analysis::verifyHostDataflow(*this);
   return std::shared_ptr<CompiledHostProgram>(
-      new CompiledHostProgram(*this, ctx, real, opts));
+      new CompiledHostProgram(*this, ctx, real));
 }
 
 CompiledHostProgram::CompiledHostProgram(HostProgram prog, ocl::Context& ctx,
-                                         ir::ScalarKind real,
-                                         const codegen::CodegenOptions& opts)
+                                         ir::ScalarKind real)
     : prog_(std::move(prog)), ctx_(ctx), real_(real) {
   // Build every kernel up front (clBuildProgram at "compile" time).
   for (const auto& node : prog_.order_) {
@@ -208,9 +198,7 @@ CompiledHostProgram::CompiledHostProgram(HostProgram prog, ocl::Context& ctx,
     if (node->kernel.def.has_value()) {
       auto def = *node->kernel.def;
       def.real = real_;
-      codegen::CodegenOptions kopts = opts;
-      if (!node->kernel.spec.empty()) kopts.spec = node->kernel.spec;
-      const auto gen = codegen::generateKernel(def, kopts);
+      const auto gen = codegen::generateKernel(def);
       inst.program = ctx_.buildProgram(gen.source, gen.buildFlags);
       inst.entry = gen.name;
       inst.plan = gen.plan;
@@ -298,30 +286,6 @@ void CompiledHostProgram::setLocalSize(const HostPtr& node,
 
 std::size_t CompiledHostProgram::localSize(const HostPtr& node) const {
   return instanceFor(node).localSize;
-}
-
-void CompiledHostProgram::replaceKernelProgram(
-    const HostPtr& node, const codegen::GeneratedKernel& gen,
-    ocl::ProgramPtr program) {
-  KernelInstance& inst = instanceFor(node);
-  LIFTA_CHECK(inst.generated,
-              "hot-swap targets generated kernels only (handwritten kernels "
-              "have no memory plan to check against)");
-  // ABI compatibility: every argument slot the launch code binds must mean
-  // the same thing in the replacement. Specialized kernels keep the full
-  // plan (baked scalars are unpacked but unused), so this is an equality
-  // check, not a remapping.
-  LIFTA_CHECK(gen.plan.args.size() == inst.plan.args.size() &&
-                  gen.plan.hasOutBuffer == inst.plan.hasOutBuffer,
-              "hot-swap replacement for '" + inst.entry +
-                  "' has an incompatible memory plan");
-  inst.kernel = std::make_unique<ocl::Kernel>(program, gen.name);
-  inst.program = std::move(program);
-  inst.entry = gen.name;
-  inst.launchChunk = gen.preferredChunk;
-  // localSize (possibly autotuned) and all bound buffers/scalars carry
-  // over; evalDevice re-binds every argument each run, so the swap is
-  // complete at the next step boundary.
 }
 
 ocl::BufferPtr CompiledHostProgram::evalDevice(const HostPtr& node,

@@ -60,14 +60,6 @@ struct KernelSpec {
   std::string launchCountScalar;
   std::size_t localSize = 64;
   std::size_t maxGlobal = 1u << 16;
-
-  /// Per-call constant specialization (generated path only): when
-  /// non-empty it overrides CodegenOptions::spec for this kernel, so one
-  /// host program can bake different constants into different calls (e.g.
-  /// per-launch boundary counts that share a kernel parameter name). The
-  /// named scalars must still be declared and set — the launch code binds
-  /// every ABI slot regardless, which is what keeps hot-swap possible.
-  memory::Specialization spec;
 };
 
 struct HostNode {
@@ -116,13 +108,6 @@ public:
   /// set.
   std::shared_ptr<CompiledHostProgram> compile(ocl::Context& ctx,
                                                ir::ScalarKind real);
-
-  /// As above with explicit codegen options for the generated kernels —
-  /// the hook tiered execution uses to build a fully constant-specialized
-  /// program (CodegenOptions::spec) instead of the generic one.
-  std::shared_ptr<CompiledHostProgram> compile(
-      ocl::Context& ctx, ir::ScalarKind real,
-      const codegen::CodegenOptions& opts);
 
   /// Read-only views of the DAG for static analysis and tooling.
   const std::vector<HostPtr>& nodes() const { return order_; }
@@ -179,16 +164,6 @@ public:
   void setLocalSize(const HostPtr& node, std::size_t local);
   std::size_t localSize(const HostPtr& node) const;
 
-  /// Hot-swaps the compiled program behind one generated kernel call
-  /// (KernelCall node or WriteTo wrapping it) — the tiered-execution
-  /// upgrade path. The replacement must share the original's ABI (same
-  /// memory plan and output convention; enforced); buffers, bound scalars
-  /// and any setLocalSize override carry over untouched, so the next run()
-  /// picks up the new code at a step boundary with bit-identical state.
-  void replaceKernelProgram(const HostPtr& node,
-                            const codegen::GeneratedKernel& gen,
-                            ocl::ProgramPtr program);
-
 private:
   friend class HostProgram;
   struct KernelInstance {
@@ -208,8 +183,7 @@ private:
   KernelInstance& instanceFor(const HostPtr& node);
   const KernelInstance& instanceFor(const HostPtr& node) const;
 
-  CompiledHostProgram(HostProgram prog, ocl::Context& ctx, ir::ScalarKind real,
-                      const codegen::CodegenOptions& opts);
+  CompiledHostProgram(HostProgram prog, ocl::Context& ctx, ir::ScalarKind real);
 
   ocl::BufferPtr evalDevice(const HostPtr& node, bool skipUploads,
                             RunStats& stats);

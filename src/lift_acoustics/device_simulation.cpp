@@ -1,14 +1,12 @@
 #include "lift_acoustics/device_simulation.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <string>
 
 #include "common/error.hpp"
 #include "harness/autotune.hpp"
 #include "lift_acoustics/kernels.hpp"
-#include "ocl/compile_queue.hpp"
 
 namespace lifta::lift_acoustics {
 
@@ -27,29 +25,6 @@ struct DeviceSimulation::Impl {
 
   /// The boundary launch plan in effect; empty means the fused schedule.
   std::vector<acoustics::BoundaryLaunch> launches;
-
-  /// One generated kernel eligible for constant specialization: the host
-  /// node to hot-swap (KernelCall or its WriteTo wrapper) plus the kernel
-  /// definition and the per-kernel constants (keyed by *kernel parameter*
-  /// name — fission launches all name their count param "count" while the
-  /// host scalars are "count<k>", so a per-kernel map is required).
-  struct SpecTarget {
-    host::HostPtr node;
-    memory::KernelDef def;
-    memory::Specialization spec;
-  };
-  std::vector<SpecTarget> specTargets;
-
-  /// Tiered mode: one in-flight background build per target.
-  struct PendingSwap {
-    std::size_t target = 0;  // index into specTargets
-    codegen::GeneratedKernel gen;
-    ocl::CompileQueue::TicketPtr ticket;
-    bool done = false;
-  };
-  std::vector<PendingSwap> pending;
-  std::size_t swapped = 0;   // hot-swapped (or spec-built) kernel count
-  int firstSwapStep = -1;
 
   // Host staging (double master copies; float shadows when needed).
   std::vector<double> curr, prev, next;
@@ -87,7 +62,7 @@ constexpr int kSegmentWidth = 64;
 }  // namespace
 
 DeviceSimulation::DeviceSimulation(ocl::Context& ctx, Config config)
-    : config_(std::move(config)), ctx_(&ctx) {
+    : config_(std::move(config)) {
   LIFTA_CHECK(config_.params.stable(), "Courant number exceeds the limit");
   LIFTA_CHECK(!(config_.useStencil3DVolume && config_.useRunTableVolume),
               "pick one volume kernel variant");
@@ -147,18 +122,9 @@ DeviceSimulation::DeviceSimulation(ocl::Context& ctx, Config config)
                 : std::vector<acoustics::BoundaryLaunch>{});
     if (config_.autoTuneLocalSize) autotuneLocalSizes();
   }
-
-  // Tier resolution runs after the schedule pick so background builds
-  // target the program that will actually step.
-  if (config_.kernelTier == KernelTier::Specialized) {
-    // buildProgram compiled every kernel specialized already; record that
-    // for the tier accessors.
-    impl_->swapped = 1 + impl_->bndNodes.size();
-    impl_->firstSwapStep = 0;
-  } else if (config_.kernelTier == KernelTier::Tiered) {
-    queueSpecializations();
-  }
 }
+
+DeviceSimulation::~DeviceSimulation() = default;
 
 std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
     ocl::Context& ctx, const std::vector<acoustics::Material>& mats,
@@ -197,40 +163,6 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
     prog.declareScalar(s, host::ScalarType::Real);
   }
 
-  // Host-scalar values, known before any kernel is built — the same values
-  // the setInt/setReal calls below bind at run time. They feed the
-  // constant-specialization maps, which must therefore stay in lockstep
-  // with those bindings (bit-identity depends on it).
-  std::map<std::string, std::int64_t> intVals = {
-      {"nx", grid_->nx},
-      {"ny", grid_->ny},
-      {"nz", grid_->nz},
-      {"nxny", grid_->nx * grid_->ny},
-      {"cells", static_cast<std::int64_t>(cells)},
-      {"numB", static_cast<std::int64_t>(grid_->boundaryPoints())},
-      {"M", static_cast<std::int64_t>(im.beta.size())},
-  };
-  std::map<std::string, double> realVals = {{"l", config_.params.l()},
-                                            {"l2", config_.params.l2()}};
-  // Builds the per-kernel constant map: walk the declared args (positionally
-  // aligned with the kernel definition's parameters) and record every
-  // scalar under its *kernel parameter* name.
-  const auto makeSpec = [&](const host::KernelSpec& ks) {
-    memory::Specialization s;
-    const auto& params = ks.def->params;
-    for (std::size_t i = 0; i < ks.args.size() && i < params.size(); ++i) {
-      if (ks.args[i].buffer) continue;
-      const auto& p = params[i];
-      if (p->type->isScalar() &&
-          p->type->scalarKind() == ir::ScalarKind::Int) {
-        s.ints[p->name] = intVals.at(ks.args[i].scalarName);
-      } else {
-        s.reals[p->name] = realVals.at(ks.args[i].scalarName);
-      }
-    }
-    return s;
-  };
-  const bool specializedBuild = config_.kernelTier == KernelTier::Specialized;
   im.prev1G = prog.toGPU(prog.hostParam("prev1_h"));
   im.prev2G = prog.toGPU(prog.hostParam("prev2_h"));
   auto nbrsG = prog.toGPU(prog.hostParam("nbrs_h"));
@@ -257,8 +189,6 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
     im.segWidth = segs.width;
     prog.declareScalar("numSeg", host::ScalarType::Int);
     prog.declareScalar("segW", host::ScalarType::Int);
-    intVals["numSeg"] = static_cast<std::int64_t>(im.segStart.size());
-    intVals["segW"] = im.segWidth;
     auto segStartG = prog.toGPU(prog.hostParam("segstart_h"));
     auto segKindG = prog.toGPU(prog.hostParam("segkind_h"));
     im.nextG = prog.toGPU(prog.hostParam("next0_h"));
@@ -268,7 +198,6 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
                    {nullptr, "nx"},     {nullptr, "nxny"},   {nullptr, "cells"},
                    {nullptr, "numSeg"}, {nullptr, "segW"},   {nullptr, "l2"}};
     volume.launchCountScalar = "numSeg";
-    if (specializedBuild) volume.spec = makeSpec(volume);
     volNode = prog.writeTo(im.nextG, prog.kernelCall(volume));
   } else if (config_.useStencil3DVolume) {
     volume.def = liftVolumeStencil3DKernel(config_.precision);
@@ -278,7 +207,6 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
     // The Listing-6 kernel parallelizes over z planes.
     volume.launchCountScalar = "nz";
     volume.localSize = 1;
-    if (specializedBuild) volume.spec = makeSpec(volume);
     im.nextG = prog.kernelCall(volume);
     volNode = im.nextG;
   } else {
@@ -287,11 +215,9 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
                    {nullptr, "nx"},    {nullptr, "nxny"}, {nullptr, "cells"},
                    {nullptr, "l2"}};
     volume.launchCountScalar = "cells";
-    if (specializedBuild) volume.spec = makeSpec(volume);
     im.nextG = prog.kernelCall(volume);
     volNode = im.nextG;
   }
-  im.specTargets.push_back({volNode, *volume.def, makeSpec(volume)});
 
   const bool fdmm = config_.model == DeviceModel::FdMm;
   host::HostPtr biG, dG, diG, fG, g1G;
@@ -325,10 +251,8 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
                        {nullptr, "M"}, {nullptr, "l"}};
     }
     boundary.launchCountScalar = "numB";
-    if (specializedBuild) boundary.spec = makeSpec(boundary);
     updated = prog.writeTo(volNode, prog.kernelCall(boundary));
     im.bndNodes.push_back(updated);
-    im.specTargets.push_back({updated, *boundary.def, makeSpec(boundary)});
   } else {
     // Fission schedule: one specialized kernel per launch, chained so each
     // updates the running `next` view in place. Within a step the launches
@@ -351,7 +275,6 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
       const std::string tag = std::to_string(k);
       const std::string countName = "count" + tag;
       prog.declareScalar(countName.c_str(), host::ScalarType::Int);
-      intVals[countName] = static_cast<std::int64_t>(L.count());
       auto cellG = prog.toGPU(prog.hostParam("cellsorted" + tag + "_h"));
       auto matSG = prog.toGPU(prog.hostParam("matsorted" + tag + "_h"));
       host::HostPtr nbrSG, posG;
@@ -403,10 +326,8 @@ std::unique_ptr<DeviceSimulation::Impl> DeviceSimulation::buildProgram(
         }
       }
       b.launchCountScalar = countName;
-      if (specializedBuild) b.spec = makeSpec(b);
       cur = prog.writeTo(cur, prog.kernelCall(b));
       im.bndNodes.push_back(cur);
-      im.specTargets.push_back({cur, *b.def, makeSpec(b)});
     }
     updated = cur;
   }
@@ -544,81 +465,9 @@ void DeviceSimulation::autotuneLocalSizes() {
   }
 }
 
-void DeviceSimulation::queueSpecializations() {
-  Impl& im = *impl_;
-  auto& queue = ocl::CompileQueue::instance();
-  for (std::size_t t = 0; t < im.specTargets.size(); ++t) {
-    auto& target = im.specTargets[t];
-    try {
-      auto def = target.def;
-      def.real = config_.precision;
-      auto opts = codegen::CodegenOptions::fromEnv();
-      opts.spec = target.spec;
-      // Codegen — including the translation-validation gate over the
-      // specialized IR — runs here on the calling thread; only the C
-      // compiler subprocess is backgrounded. A kernel whose specialization
-      // fails to generate or validate simply stays generic.
-      Impl::PendingSwap ps;
-      ps.target = t;
-      ps.gen = codegen::generateKernel(def, opts);
-      ps.ticket = queue.submit(ps.gen.source, ps.gen.buildFlags);
-      im.pending.push_back(std::move(ps));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr,
-                   "lifta: specialization of kernel '%s' failed (%s); "
-                   "keeping the generic kernel\n",
-                   target.def.name.c_str(), e.what());
-    }
-  }
-}
-
-void DeviceSimulation::pollSpecializations() {
-  Impl& im = *impl_;
-  for (auto& ps : im.pending) {
-    if (ps.done || !ps.ticket->done()) continue;
-    ps.done = true;
-    if (ps.ticket->state() == ocl::CompileQueue::State::Ready) {
-      // The background build parked the object in the Jit memory cache, so
-      // this buildProgram is an instant cache hit, not a second compile.
-      auto program = ctx_->buildProgram(ps.gen.source, ps.gen.buildFlags);
-      im.compiled->replaceKernelProgram(im.specTargets[ps.target].node,
-                                        ps.gen, std::move(program));
-      ++im.swapped;
-      if (im.firstSwapStep < 0) im.firstSwapStep = steps_;
-    } else if (ps.ticket->state() == ocl::CompileQueue::State::Failed) {
-      std::fprintf(stderr,
-                   "lifta: background build of specialized kernel '%s' "
-                   "failed (%s); keeping the generic kernel\n",
-                   ps.gen.name.c_str(), ps.ticket->error().c_str());
-    }
-    // Cancelled tickets (batch teardown) also just stay generic.
-  }
-}
-
-void DeviceSimulation::waitForSpecialization() {
-  auto& queue = ocl::CompileQueue::instance();
-  for (auto& ps : impl_->pending) {
-    if (!ps.done) queue.wait(ps.ticket);
-  }
-  pollSpecializations();
-}
-
 std::size_t DeviceSimulation::totalKernels() const {
   return 1 + impl_->bndNodes.size();
 }
-
-std::size_t DeviceSimulation::specializedKernels() const {
-  return impl_->swapped;
-}
-
-bool DeviceSimulation::specializationPending() const {
-  for (const auto& ps : impl_->pending) {
-    if (!ps.done) return true;
-  }
-  return false;
-}
-
-int DeviceSimulation::firstSwapStep() const { return impl_->firstSwapStep; }
 
 double DeviceSimulation::measureBoundaryMs() {
   auto& c = *impl_->compiled;
@@ -659,32 +508,6 @@ DeviceSimulation::boundaryLaunches() const {
   return impl_->launches;
 }
 
-std::size_t DeviceSimulation::prewarmSpecializations(ocl::Context& ctx,
-                                                     Config config) {
-  config.kernelTier = KernelTier::Tiered;
-  DeviceSimulation sim(ctx, config);
-  const std::size_t queued = sim.impl_->pending.size();
-  // Detach the tickets: the destructor cancels whatever is still pending,
-  // but a pre-warm exists precisely so the builds continue after this
-  // temporary simulation dies. The CompileQueue holds its own references;
-  // finished objects land in the process-wide Jit cache, and identical
-  // later submissions dedup onto the in-flight tickets.
-  sim.impl_->pending.clear();
-  return queued;
-}
-
-DeviceSimulation::~DeviceSimulation() {
-  // Builds still queued for a simulation being torn down are wasted work;
-  // cancel what has not started (in-flight builds finish and just warm the
-  // process-wide Jit cache for any later identical configuration).
-  if (impl_) {
-    auto& queue = ocl::CompileQueue::instance();
-    for (auto& ps : impl_->pending) {
-      if (!ps.done) queue.cancel(ps.ticket);
-    }
-  }
-}
-
 void DeviceSimulation::addImpulse(int x, int y, int z, double amplitude) {
   LIFTA_CHECK(!impl_->uploaded,
               "impulses must be added before the first step");
@@ -696,12 +519,6 @@ double DeviceSimulation::step() {
   Impl& im = *impl_;
   auto& c = *im.compiled;
   const bool dbl = config_.precision == ir::ScalarKind::Double;
-
-  // Hot-swap point: finished background builds replace their generic
-  // kernel here, strictly between runs, so a step always executes one
-  // coherent kernel set. Specialization never changes data arithmetic, so
-  // a swap at step k produces the same trajectory as never swapping.
-  if (!im.pending.empty()) pollSpecializations();
 
   host::CompiledHostProgram::RunStats stats;
   if (!im.uploaded) {

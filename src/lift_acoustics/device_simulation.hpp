@@ -20,22 +20,6 @@ namespace lifta::lift_acoustics {
 
 enum class DeviceModel { FiMm, FdMm };
 
-/// Which compiled form of the generated kernels a simulation runs
-/// (DESIGN.md §12). All three produce bit-identical output: specialization
-/// only bakes the scalars the host would have bound into index algebra and
-/// literal coefficients, never changing data arithmetic.
-enum class KernelTier {
-  /// Generic kernels only (runtime scalar arguments) — the baseline.
-  Generic,
-  /// Constant-specialized kernels, compiled synchronously up front: lowest
-  /// steady-state step time, highest construction latency.
-  Specialized,
-  /// Tier-0 generic kernels run immediately; a background thread compiles
-  /// the specialized variants and step() hot-swaps each kernel at a step
-  /// boundary once its build is ready.
-  Tiered,
-};
-
 /// How the device tier schedules the boundary phase.
 enum class BoundarySchedule {
   /// Pick automatically: fission when the launch plan has any specialized
@@ -78,25 +62,12 @@ public:
     /// Boundary-phase schedule (fused single kernel vs per-class fission).
     /// Both schedules are bit-identical; they differ only in launch shape.
     BoundarySchedule boundarySchedule = BoundarySchedule::Auto;
-    /// Generic, up-front specialized, or tiered execution with background
-    /// specialization and hot-swap. Bit-identical across all three.
-    KernelTier kernelTier = KernelTier::Generic;
     std::vector<acoustics::Material> materials;  // default palette if empty
   };
 
   /// Voxelizes, generates + JIT-builds the kernels, uploads the static data.
   DeviceSimulation(ocl::Context& ctx, Config config);
   ~DeviceSimulation();
-
-  /// Queues this config's constant-specialized kernel builds on the
-  /// background compile queue and returns without waiting. The builds
-  /// outlive the call and park their objects in the process-wide JIT
-  /// cache, so a later simulation with the same config either hot-swaps
-  /// immediately (Tiered) or constructs without a cold compile
-  /// (Specialized). Batch schedulers call this for every job up front —
-  /// the compile thread then works ahead of the serialized device jobs.
-  /// Returns the number of specialized builds queued.
-  static std::size_t prewarmSpecializations(ocl::Context& ctx, Config config);
 
   const acoustics::RoomGrid& grid() const { return *grid_; }
   const Config& config() const { return config_; }
@@ -128,17 +99,6 @@ public:
 
   /// Kernel launches per step (volume + boundary launches).
   std::size_t totalKernels() const;
-  /// Launches currently running constant-specialized code: totalKernels()
-  /// under Specialized, the hot-swapped count under Tiered, 0 otherwise.
-  std::size_t specializedKernels() const;
-  /// True while Tiered background builds are still outstanding.
-  bool specializationPending() const;
-  /// Step count at the first hot-swap (-1 before any swap; 0 under
-  /// Specialized, where every kernel starts specialized).
-  int firstSwapStep() const;
-  /// Blocks until every queued specialization is terminal and applies the
-  /// resulting swaps (callable between steps; failed builds stay generic).
-  void waitForSpecialization();
 
   /// True when the resolved schedule runs per-class boundary kernels.
   bool boundaryFissionActive() const;
@@ -159,16 +119,8 @@ private:
   /// Best-of-3 sum of the boundary kernels' time on the current program
   /// (tuning-time measurement for the Auto schedule pick).
   double measureBoundaryMs();
-  /// Tiered mode: generates the specialized variant of every kernel on the
-  /// calling thread (so the translation-validation gate runs synchronously)
-  /// and submits the sources to the background CompileQueue.
-  void queueSpecializations();
-  /// Applies every finished background build by hot-swapping its program
-  /// (called at step boundaries and from waitForSpecialization()).
-  void pollSpecializations();
 
   Config config_;
-  ocl::Context* ctx_ = nullptr;
   /// Shared immutable grid from the voxelization cache (keyed on shape,
   /// dims and material count), so repeated configs skip re-voxelization.
   std::shared_ptr<const acoustics::RoomGrid> grid_;

@@ -232,10 +232,7 @@ std::shared_ptr<SharedObject> Jit::compile(const std::string& source,
   // Content address: compiler command *and version*, every flag and the
   // full source all feed the key, so a cached object can never be served
   // for a build that would have produced different code — including after
-  // a system compiler upgrade against a persistent disk cache. (Generated
-  // sources additionally carry their specialization digest in a header
-  // comment, so specialized variants of a kernel hash apart from the
-  // generic one by construction.)
+  // a system compiler upgrade against a persistent disk cache.
   const std::string flags =
       extraFlags.empty() ? std::string(kBaseFlags)
                          : std::string(kBaseFlags) + " " + extraFlags;

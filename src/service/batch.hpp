@@ -56,12 +56,6 @@ struct BatchSpec {
 
   /// Fdtd fidelity only: which implementation tier steps each job.
   JobTier fdtdTier = JobTier::Reference;
-  /// Fdtd + Device tier only: kernel tiering mode for every expanded job.
-  /// Specialized/Tiered batches pre-warm — runRirBatch queues every
-  /// scene's constant-specialized builds on the background compile queue
-  /// before submitting any job, so the compile thread works ahead of the
-  /// serialized device executors.
-  DeviceKernelTier deviceKernelTier = DeviceKernelTier::Generic;
 
   /// Existing directory the shards and manifest are written into.
   std::string outDir;

@@ -11,10 +11,8 @@
 #include "common/wav.hpp"
 #include "ism/hybrid.hpp"
 #include "lift_acoustics/device_simulation.hpp"
-#include "ocl/compile_queue.hpp"
 #include "ocl/runtime.hpp"
 #include "service/checkpoint.hpp"
-#include "service/device_config.hpp"
 
 namespace lifta::service {
 
@@ -62,10 +60,6 @@ struct RirService::Job {
   std::size_t memBytes = 0;
   std::size_t insideCells = 0;
   std::uint64_t imageRenders = 0;  // ISM images x receivers this job rendered
-  // Device tier with Specialized/Tiered kernels: swap outcome at job end.
-  bool deviceTiered = false;
-  std::uint64_t kernelsSpecialized = 0;
-  std::uint64_t kernelsStayedGeneric = 0;
   Clock::time_point submitTime;
   std::atomic<bool> cancelRequested{false};
   JobStatus status = JobStatus::Queued;  // guarded by the service mutex
@@ -408,11 +402,6 @@ void RirService::finalize(Job& job, JobStatus status) {
   if (status == JobStatus::Done) ++engine.jobs;
   engine.cellSteps += jobCellSteps;
   engine.imageRenders += job.imageRenders;
-  if (job.deviceTiered) {
-    ++deviceJobsTiered_;
-    deviceKernelsSpecialized_ += job.kernelsSpecialized;
-    deviceKernelsStayedGeneric_ += job.kernelsStayedGeneric;
-  }
   totalRunMs_ += job.result.runMs;
   cvDone_.notify_all();
 }
@@ -583,6 +572,8 @@ void RirService::runReferenceJob(Job& job) {
   job.result.status = end;
 }
 
+namespace {
+
 lift_acoustics::DeviceSimulation::Config deviceConfigFromSpec(
     const RirJobSpec& spec) {
   lift_acoustics::DeviceSimulation::Config cfg;
@@ -597,19 +588,10 @@ lift_acoustics::DeviceSimulation::Config deviceConfigFromSpec(
                       ? ir::ScalarKind::Float
                       : ir::ScalarKind::Double;
   cfg.materials = spec.materials;
-  switch (spec.deviceKernelTier) {
-    case DeviceKernelTier::Generic:
-      cfg.kernelTier = lift_acoustics::KernelTier::Generic;
-      break;
-    case DeviceKernelTier::Specialized:
-      cfg.kernelTier = lift_acoustics::KernelTier::Specialized;
-      break;
-    case DeviceKernelTier::Tiered:
-      cfg.kernelTier = lift_acoustics::KernelTier::Tiered;
-      break;
-  }
   return cfg;
 }
+
+}  // namespace
 
 void RirService::runDeviceJob(Job& job) {
   const RirJobSpec& spec = job.spec;
@@ -656,11 +638,6 @@ void RirService::runDeviceJob(Job& job) {
     job.result.mcellsPerSecond = static_cast<double>(job.insideCells) *
                                  job.result.stepsDone /
                                  (job.result.runMs * 1e3);
-  }
-  if (spec.deviceKernelTier != DeviceKernelTier::Generic) {
-    job.deviceTiered = true;
-    job.kernelsSpecialized = dev.specializedKernels();
-    job.kernelsStayedGeneric = dev.totalKernels() - dev.specializedKernels();
   }
   if (end == JobStatus::Done) exportWavs(job);
   job.result.status = end;
@@ -837,15 +814,6 @@ ServiceMetrics RirService::metrics() const {
   m.peakMemoryInUseBytes = peakMemoryInUse_;
   m.voxelCacheHits = voxel.hits - voxelHitsAtStart_;
   m.voxelCacheMisses = voxel.misses - voxelMissesAtStart_;
-  m.deviceJobsTiered = deviceJobsTiered_;
-  m.deviceKernelsSpecialized = deviceKernelsSpecialized_;
-  m.deviceKernelsStayedGeneric = deviceKernelsStayedGeneric_;
-  const auto cq = ocl::CompileQueue::instance().stats();
-  m.compileSubmitted = cq.submitted;
-  m.compileDeduped = cq.deduped;
-  m.compileCompiled = cq.compiled;
-  m.compileFailed = cq.failed;
-  m.compileCancelled = cq.cancelled;
   return m;
 }
 
@@ -896,20 +864,6 @@ std::string ServiceMetrics::toJson() const {
       .field("hits", voxelCacheHits)
       .field("misses", voxelCacheMisses)
       .field("hit_rate", voxelCacheHitRate(), 4)
-      .endObject();
-  json.key("kernel_tiering")
-      .beginObject()
-      .field("device_jobs_tiered", deviceJobsTiered)
-      .field("kernels_specialized", deviceKernelsSpecialized)
-      .field("kernels_stayed_generic", deviceKernelsStayedGeneric)
-      .endObject();
-  json.key("compile_queue")
-      .beginObject()
-      .field("submitted", compileSubmitted)
-      .field("deduped", compileDeduped)
-      .field("compiled", compileCompiled)
-      .field("failed", compileFailed)
-      .field("cancelled", compileCancelled)
       .endObject();
   json.endObject();
   return json.str();

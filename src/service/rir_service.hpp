@@ -61,14 +61,6 @@ enum class JobTier {
 
 enum class JobPrecision { Float32, Float64 };
 
-/// Device-tier kernel tiering (DESIGN.md §12); mirrors
-/// lift_acoustics::KernelTier without pulling that header in here.
-/// Generic runs the shape-agnostic kernels; Specialized blocks on the
-/// constant-specialized build before the first step; Tiered starts on the
-/// generic kernels and hot-swaps at a step boundary once the background
-/// build lands. All three produce bit-identical traces.
-enum class DeviceKernelTier { Generic, Specialized, Tiered };
-
 /// Which physical engine produces the impulse response.
 enum class Fidelity {
   Fdtd,    // full wave simulation (reference or device tier)
@@ -129,8 +121,6 @@ struct RirJobSpec {
 
   JobPrecision precision = JobPrecision::Float64;
   JobTier tier = JobTier::Reference;
-  /// Device tier only: how the job's kernels are compiled and swapped.
-  DeviceKernelTier deviceKernelTier = DeviceKernelTier::Generic;
   /// Engine selection; Ism and Hybrid read `ism` instead of the grid-domain
   /// room/sources/receivers and run on the reference tier only.
   Fidelity fidelity = Fidelity::Fdtd;
@@ -228,23 +218,6 @@ struct ServiceMetrics {
   /// Process-wide voxelization-cache activity since service construction.
   std::uint64_t voxelCacheHits = 0;
   std::uint64_t voxelCacheMisses = 0;
-
-  /// Device-tier kernel tiering (DESIGN.md §12): how many finished device
-  /// jobs ran Specialized or Tiered, how many of their kernels ended up on
-  /// the constant-specialized variant, and how many stayed generic (build
-  /// failed or the job finished before the swap boundary — never an error,
-  /// the generic kernel is always correct).
-  std::uint64_t deviceJobsTiered = 0;
-  std::uint64_t deviceKernelsSpecialized = 0;
-  std::uint64_t deviceKernelsStayedGeneric = 0;
-
-  /// Process-wide background compile queue counters (ocl::CompileQueue)
-  /// since process start; pre-warmed batches show up as deduped submits.
-  std::uint64_t compileSubmitted = 0;
-  std::uint64_t compileDeduped = 0;
-  std::uint64_t compileCompiled = 0;
-  std::uint64_t compileFailed = 0;
-  std::uint64_t compileCancelled = 0;
 
   double jobsPerSecond() const {
     return elapsedSeconds > 0.0
@@ -369,8 +342,6 @@ private:
   std::uint64_t submitted_ = 0, completed_ = 0, cancelled_ = 0, timedOut_ = 0,
                 rejected_ = 0, failed_ = 0;
   std::uint64_t cellSteps_ = 0;
-  std::uint64_t deviceJobsTiered_ = 0, deviceKernelsSpecialized_ = 0,
-                deviceKernelsStayedGeneric_ = 0;
   std::array<EngineCounters, kNumFidelities> engines_{};
   double totalRunMs_ = 0.0;
   std::vector<double> queueWaitSamples_;

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "acoustics/geometry.hpp"
-#include "analysis/equiv.hpp"
 #include "acoustics/materials.hpp"
 #include "acoustics/sim_params.hpp"
 #include "codegen/kernel_codegen.hpp"
@@ -124,60 +123,6 @@ TEST(CodegenOptGolden, OptOutEnvDisablesTheOptimizer) {
   EXPECT_EQ(viaEnv.source, explicitOff.source);
   EXPECT_FALSE(viaEnv.optimized);
   EXPECT_EQ(viaEnv.preferredChunk, 0);
-}
-
-// --- constant specialization ------------------------------------------------
-
-TEST(CodegenSpecialize, BakesConstantsIntoSourceAndDigest) {
-  const auto def = lift_acoustics::liftVolumeKernel(ir::ScalarKind::Double);
-  CodegenOptions o;
-  o.spec.ints = {{"nx", 16}, {"nxny", 16 * 14}, {"cells", 16 * 14 * 12}};
-  o.spec.reals = {{"l2", 0.09}};
-  const auto spec = generateKernel(def, o);
-  const auto gen = generateKernel(def, optimized());
-
-  EXPECT_NE(spec.source, gen.source);
-  EXPECT_TRUE(gen.specDigest.empty());
-  ASSERT_FALSE(spec.specDigest.empty());
-  // The digest header makes the constants part of the JIT content hash
-  // even when substitution leaves the body unchanged.
-  EXPECT_NE(spec.source.find("// specialized: " + spec.specDigest),
-            std::string::npos);
-  // Loop bounds and index algebra fold to literals...
-  EXPECT_NE(spec.body.find(std::to_string(16 * 14 * 12)), std::string::npos);
-  // ...and the real coefficient becomes an exact round-trip literal.
-  EXPECT_NE(spec.body.find(memory::Specialization::realLiteral(
-                0.09, ir::ScalarKind::Double)),
-            std::string::npos);
-}
-
-TEST(CodegenSpecialize, SpecializedKernelsPassTranslationValidation) {
-  for (const bool fd : {false, true}) {
-    const auto def =
-        fd ? lift_acoustics::liftFdMmKernel(ir::ScalarKind::Double, 3)
-           : lift_acoustics::liftFiMmKernel(ir::ScalarKind::Double);
-    memory::Specialization spec;
-    spec.ints = {{"cells", 2688}, {"numB", 1154}, {"M", 4}};
-    spec.reals = {{"l", 0.3}};
-    const auto report = analysis::validateTranslation(def, spec);
-    EXPECT_FALSE(report.hasErrors()) << (fd ? "fd-mm" : "fi-mm");
-    // The gate form inside generateKernel covers the same path end to end.
-    CodegenOptions o;
-    o.spec = spec;
-    EXPECT_NO_THROW(generateKernel(def, o));
-  }
-}
-
-TEST(CodegenSpecialize, DistinctConstantsYieldDistinctDigests) {
-  memory::Specialization a, b;
-  a.ints = {{"cells", 1000}};
-  b.ints = {{"cells", 1001}};
-  EXPECT_NE(a.digest(), b.digest());
-  memory::Specialization ra, rb;
-  ra.reals = {{"l", 0.5}};
-  rb.reals = {{"l", 0.5000000000000001}};  // adjacent double, distinct bits
-  EXPECT_NE(ra.digest(), rb.digest());
-  EXPECT_EQ(memory::Specialization{}.digest(), "");
 }
 
 // --- bit-identity across optimization levels --------------------------------

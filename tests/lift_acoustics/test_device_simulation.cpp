@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 
 #include "acoustics/simulation.hpp"
 #include "common/error.hpp"
+#include "ocl/jit.hpp"
 
 namespace lifta::lift_acoustics {
 namespace {
@@ -345,7 +347,9 @@ TEST(DeviceSimulation, FissionLaunchPlanCoversWholeBoundarySet) {
     // Pure fission: every launch is one class, so a face/edge launch is
     // branch-free (fixedNbr >= 4) and only the corner launch may mix.
     EXPECT_EQ(l.classFirst, l.classLast);
-    if (l.classFirst < kBoundaryClassCorner) EXPECT_GE(l.fixedNbr, 4);
+    if (l.classFirst < kBoundaryClassCorner) {
+      EXPECT_GE(l.fixedNbr, 4);
+    }
   }
   EXPECT_EQ(expectBegin,
             static_cast<std::int32_t>(dev.grid().boundaryPoints()));
@@ -382,6 +386,39 @@ TEST(DeviceSimulation, AutotunedFissionStaysBitIdentical) {
   picked.addImpulse(7, 6, 5, 1.0);
   const auto pickedRec = picked.record(40, 4, 4, 4);
   EXPECT_EQ(plainRec, pickedRec);
+}
+
+// Generic kernel source depends on model, precision and flags, never on the
+// room: once one room per model has been built, rooms of any other size
+// reuse the JIT's compiled objects. Fused schedule, so the check does not
+// depend on which boundary classes a room's launch plan happens to need.
+TEST(DeviceSimulation, GenericKernelsCompileOncePerModelAcrossRoomSizes) {
+  const Room rooms[] = {{RoomShape::Box, 12, 10, 8},
+                        {RoomShape::Box, 16, 14, 12},
+                        {RoomShape::Box, 19, 11, 15},
+                        {RoomShape::Box, 9, 17, 13}};
+  for (const DeviceModel model : {DeviceModel::FiMm, DeviceModel::FdMm}) {
+    std::size_t compiledAfterFirst = 0;
+    for (std::size_t i = 0; i < std::size(rooms); ++i) {
+      DeviceSimulation::Config cfg;
+      cfg.room = rooms[i];
+      cfg.model = model;
+      cfg.numMaterials = 2;
+      cfg.numBranches = 2;
+      cfg.boundarySchedule = BoundarySchedule::Fused;
+      DeviceSimulation dev(sharedContext(), cfg);
+      dev.addImpulse(4, 4, 4, 1.0);
+      dev.step();
+      const std::size_t compiled = ocl::Jit::instance().stats().compiled;
+      if (i == 0) {
+        compiledAfterFirst = compiled;
+      } else {
+        EXPECT_EQ(compiled, compiledAfterFirst)
+            << (model == DeviceModel::FdMm ? "FD-MM" : "FI-MM") << " room "
+            << rooms[i].nx << "x" << rooms[i].ny << "x" << rooms[i].nz;
+      }
+    }
+  }
 }
 
 }  // namespace

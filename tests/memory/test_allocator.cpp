@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "ir/typecheck.hpp"
 
@@ -16,7 +18,7 @@ arith::Expr N() { return arith::Expr::var("N"); }
 
 KernelDef simpleMapKernel() {
   KernelDef def;
-  def.name = "k";
+  def.name = std::string("k");
   auto in = param("A", Type::array(Type::float_(), N()));
   auto nParam = param("N", Type::int_());
   auto x = param("x", nullptr);
@@ -39,7 +41,7 @@ TEST(Allocator, PureMapGetsOutputBuffer) {
 
 TEST(Allocator, OutAliasSuppressesOutputBuffer) {
   auto def = simpleMapKernel();
-  def.outAliasParam = "A";
+  def.outAliasParam = std::string("A");
   const auto plan = planMemory(def);
   EXPECT_FALSE(plan.hasOutBuffer);
   ASSERT_EQ(plan.args.size(), 2u);
@@ -48,19 +50,19 @@ TEST(Allocator, OutAliasSuppressesOutputBuffer) {
 
 TEST(Allocator, UnknownAliasThrows) {
   auto def = simpleMapKernel();
-  def.outAliasParam = "Z";
+  def.outAliasParam = std::string("Z");
   EXPECT_THROW(planMemory(def), CodegenError);
 }
 
 TEST(Allocator, ScalarAliasThrows) {
   auto def = simpleMapKernel();
-  def.outAliasParam = "N";
+  def.outAliasParam = std::string("N");
   EXPECT_THROW(planMemory(def), CodegenError);
 }
 
 TEST(Allocator, EffectOnlyKernelHasNoOut) {
   KernelDef def;
-  def.name = "k";
+  def.name = std::string("k");
   auto a = param("A", Type::array(Type::float_(), N()));
   auto idxs = param("I", Type::array(Type::int_(), N()));
   auto i = param("i", nullptr);
@@ -101,7 +103,7 @@ TEST(Allocator, CollectsWriteDestinationsThroughAccess) {
 
 TEST(Allocator, ScalarBodyWithoutEffectsThrows) {
   KernelDef def;
-  def.name = "k";
+  def.name = std::string("k");
   def.params = {};
   def.body = litFloat(1.0f);
   ir::typecheck(def.body);

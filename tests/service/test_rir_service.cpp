@@ -350,44 +350,6 @@ TEST(RirService, DeviceTierMatchesReferenceTierBitwise) {
   }
 }
 
-// All three device kernel tiers must return the same bits (DESIGN.md §12:
-// specialization only bakes scalars into index algebra), and finished
-// tiered jobs must show up in the kernel-tiering metrics.
-TEST(RirService, DeviceKernelTiersMatchGenericBitwise) {
-  const auto base = smallSpec(BoundaryModel::FiMm, 40);
-  RirService svc;
-  auto generic = base;
-  generic.tier = JobTier::Device;
-  const RirResult g = svc.wait(svc.submit(generic));
-  ASSERT_EQ(g.status, JobStatus::Done) << g.error;
-
-  for (const auto tier :
-       {DeviceKernelTier::Specialized, DeviceKernelTier::Tiered}) {
-    auto spec = generic;
-    spec.deviceKernelTier = tier;
-    const RirResult r = svc.wait(svc.submit(spec));
-    ASSERT_EQ(r.status, JobStatus::Done) << r.error;
-    ASSERT_EQ(r.traces.size(), g.traces.size());
-    for (std::size_t rx = 0; rx < g.traces.size(); ++rx) {
-      for (std::size_t s = 0; s < g.traces[rx].size(); ++s) {
-        ASSERT_EQ(r.traces[rx][s], g.traces[rx][s])
-            << "tier " << static_cast<int>(tier) << " receiver " << rx
-            << " step " << s;
-      }
-    }
-  }
-
-  const ServiceMetrics m = svc.metrics();
-  EXPECT_EQ(m.deviceJobsTiered, 2u);
-  // The Specialized job compiled everything up front; the Tiered one may
-  // or may not have swapped before finishing, but nothing can exceed the
-  // per-job kernel count and the stayed-generic remainder accounts for it.
-  EXPECT_GE(m.deviceKernelsSpecialized, 2u);
-  const std::string json = m.toJson();
-  EXPECT_NE(json.find("\"kernel_tiering\""), std::string::npos);
-  EXPECT_NE(json.find("\"compile_queue\""), std::string::npos);
-}
-
 TEST(RirService, ConcurrentMixedBatchAllComplete) {
   RirService::Config cfg;
   cfg.workers = 3;
